@@ -63,4 +63,3 @@ let default =
     leaf_fence_cache = false;
   }
 
-let paper_scale = { default with n_workers = 100; slots_per_worker = 32 }

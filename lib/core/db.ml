@@ -457,7 +457,6 @@ type crash_report = {
    The handle must not run transactions afterwards; hand the surviving
    stores to [Checkpoint.restore]. *)
 let crash ?tear t =
-  Wal.stop t.walmgr;
   Engine.clear t.eng;
   let wal_files = Walstore.crash ?tear (Wal.store t.walmgr) in
   let data_lost = Pagestore.crash (Bufmgr.store t.buf) in
@@ -476,13 +475,6 @@ let sync_stores t =
   Engine.run t.eng;
   if !pending <> 0 then
     Phoebe_error.bug ~subsystem:"core.db" "sync_stores: page-store sync did not converge"
-
-let flush_pages t =
-  let completed = ref false in
-  Bufmgr.flush_all_dirty t.buf ~on_done:(fun () -> completed := true);
-  Engine.run t.eng;
-  if not !completed then
-    Phoebe_error.bug ~subsystem:"core.db" "flush_pages: dirty-page flush did not complete after engine drain"
 
 let gc t =
   let reclaim (undo : Phoebe_txn.Undo.t) =

@@ -146,10 +146,6 @@ val sync_stores : t -> unit
     image is not a recovery point while any page it references is
     volatile. *)
 
-val flush_pages : t -> unit
-(** Write back every dirty buffer page through the cleaner's vectored
-    batch path and drive the engine until the batches complete. *)
-
 type crash_report = {
   wal_files : (int * int * int) list;
       (** per WAL file: (file, surviving bytes, bytes lost past the

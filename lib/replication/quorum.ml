@@ -79,14 +79,6 @@ type role = Primary | Follower | Candidate | Down
 
 let is_primary nd_role = match nd_role with Primary -> true | _ -> false
 
-(* Per stream-file record run awaiting its decision record (the
-   streaming analogue of recovery's per-slot runs). Ops are
-   view-tagged so cross-view batches sort correctly. *)
-type run = {
-  mutable r_ops : (int * Record.t) list;  (** newest first *)
-  mutable r_prep : (int * int) option;  (** (gxid, coord) once prepared *)
-}
-
 (* A quorum commit wait. The committing transaction's records all carry
    GSN <= [w_gsn]; they are guaranteed to be in the stream only once
    the WAL's durable-GSN floor passes [w_gsn] (pulls clamp to the
@@ -115,8 +107,10 @@ type node = {
   mutable safe_off : int;
   mutable applied_chunks : int;
   mutable applied_as_of : int;  (** primary time the applied state reflects *)
-  runs : (int, run) Hashtbl.t;  (** per stream file: undecided record run *)
-  mutable parked : (int * Record.t) list;  (** committed ops missing their base row *)
+  mutable runs : Recovery.runs;  (** consumed stream: open runs, unapplied ops *)
+  mutable runs_view : int;  (** no run of an earlier view is open *)
+  mutable new_view : int;  (** latest view announced by New_view *)
+  mutable new_view_off : int;  (** stream offset where [new_view] begins *)
   (* role / view *)
   mutable role : role;
   mutable view : int;
@@ -272,8 +266,8 @@ let table_of db id =
 (* Replicas preserve the primary's row-id space ([raw_insert ~rid]), so
    after promotion the stream and the database agree on rids — no
    translation map to lose at failover. Returns false when the base row
-   has not arrived (parked; must be resolved by promotion). *)
-let apply_op db ((_view, r) : int * Record.t) =
+   has not arrived (parked in [runs]; must be resolved by promotion). *)
+let apply_op db (r : Record.t) =
   match r.Record.op with
   | Record.Insert { table; rid; row } ->
     Table.raw_insert (table_of db table) ~rid row;
@@ -294,71 +288,53 @@ let apply_op db ((_view, r) : int * Record.t) =
     else false
   | Record.Commit _ | Record.Abort _ | Record.Prepare _ -> true
 
-let compare_op (va, (a : Record.t)) (vb, (b : Record.t)) =
-  let c = Int.compare va vb in
-  if c <> 0 then c
-  else begin
-    let c = Int.compare a.Record.gsn b.Record.gsn in
-    if c <> 0 then c
-    else begin
-      let c = Int.compare a.Record.slot b.Record.slot in
-      if c <> 0 then c else Int.compare a.Record.lsn b.Record.lsn
-    end
-  end
+let drain nd = Recovery.drain nd.runs (apply_op nd.db)
 
-let apply_batch nd ops =
-  let ordered = List.sort compare_op (nd.parked @ ops) in
-  nd.parked <- [];
-  List.iter (fun op -> if not (apply_op nd.db op) then nd.parked <- op :: nd.parked) ordered
-
-let run_of nd file =
-  match Hashtbl.find_opt nd.runs file with
-  | Some r -> r
-  | None ->
-    let r = { r_ops = []; r_prep = None } in
-    Hashtbl.add nd.runs file r;
-    r
-
-let consume_chunk nd c completed =
+(* Stream files are view-namespaced and every chunk of a view precedes
+   the next view's, so the first chunk of a later view ends the earlier
+   views' logs: the runs still open are exactly the ones the new
+   primary closed at promotion, and resolving them the same way applies
+   their operations before any of the new view's. *)
+let consume_chunk nd c =
   let view = view_of_file c.c_file in
-  let run = run_of nd c.c_file in
+  if view > nd.runs_view then begin
+    Recovery.resolve nd.runs;
+    drain nd;
+    nd.runs_view <- view
+  end;
   let len = Bytes.length c.c_bytes in
   let off = ref 0 in
   while !off < len do
     match Record.decode c.c_bytes !off with
     | r, off' ->
       off := off';
-      (match r.Record.op with
-      | Record.Commit _ ->
-        completed := List.rev_append run.r_ops !completed;
-        run.r_ops <- [];
-        run.r_prep <- None
-      | Record.Abort _ ->
-        run.r_ops <- [];
-        run.r_prep <- None
-      | Record.Prepare { gxid; coord; _ } -> run.r_prep <- Some (gxid, coord)
-      | _ -> run.r_ops <- (view, r) :: run.r_ops)
+      Recovery.feed nd.runs ~file:c.c_file r
     | exception Failure msg ->
       Error.bug ~subsystem:"replication.quorum" "corrupt stream chunk on node %d: %s" nd.id msg
   done
 
-(* Consume chunks [applied_chunks, upto) and apply their completed
-   transactions in one recovery-ordered batch. Callers cut only at pull
-   barriers, so the batch is transactionally closed. *)
-let apply_upto nd ~upto =
-  if nd.applied_chunks < upto then begin
-    let completed = ref [] in
-    for i = nd.applied_chunks to upto - 1 do
-      let c = nd.chunks.(i) in
-      consume_chunk nd c completed;
-      nd.applied_as_of <- c.c_as_of
-    done;
-    nd.applied_chunks <- upto;
-    apply_batch nd (List.rev !completed)
-  end
+(* Consume chunks up to the last durable pull barrier and apply their
+   committed transactions (a barrier-cut batch is transactionally
+   closed). A view announced by New_view may carry no chunks yet, so
+   the earlier views' runs are also resolved as soon as everything
+   before its start is consumed. The applied state reflects the last
+   chunk's primary instant only when nothing is held back. *)
+let apply_durable nd =
+  let consumed = nd.applied_chunks < nd.safe_chunks in
+  for i = nd.applied_chunks to nd.safe_chunks - 1 do
+    consume_chunk nd nd.chunks.(i)
+  done;
+  nd.applied_chunks <- nd.safe_chunks;
+  if nd.runs_view < nd.new_view && nd.safe_off >= nd.new_view_off then begin
+    Recovery.resolve nd.runs;
+    nd.runs_view <- nd.new_view
+  end;
+  drain nd;
+  if consumed && Recovery.unapplied nd.runs = 0 then
+    nd.applied_as_of <- nd.chunks.(nd.applied_chunks - 1).c_as_of
 
 let apply_safe nd =
-  match nd.role with Primary | Down -> () | Follower | Candidate -> apply_upto nd ~upto:nd.safe_chunks
+  match nd.role with Primary | Down -> () | Follower | Candidate -> apply_durable nd
 
 (* ------------------------------------------------------------------ *)
 (* The protocol *)
@@ -419,7 +395,11 @@ and on_ship t nd ~src ~view ~chunks ~stream_len ~sent_at =
       chunks;
     (* a fully caught-up replica is as fresh as the primary's durable
        state at the heartbeat's send instant *)
-    if nd.safe_off >= stream_len && nd.applied_chunks >= nd.safe_chunks && sent_at > nd.applied_as_of
+    if
+      nd.safe_off >= stream_len
+      && nd.applied_chunks >= nd.safe_chunks
+      && Recovery.unapplied nd.runs = 0
+      && sent_at > nd.applied_as_of
     then nd.applied_as_of <- sent_at;
     send t ~src:nd.id ~dst:src (Ack { view = nd.view; src = nd.id; off = nd.durable_off })
   end
@@ -486,17 +466,7 @@ and pull t nd =
   (match !recs with
   | [] -> ()
   | recs_ ->
-    let ordered =
-      List.sort
-        (fun ((a : Record.t), fa, _) ((b : Record.t), fb, _) ->
-          let c = Int.compare a.Record.gsn b.Record.gsn in
-          if c <> 0 then c
-          else begin
-            let c = Int.compare fa fb in
-            if c <> 0 then c else Int.compare a.Record.lsn b.Record.lsn
-          end)
-        (List.rev recs_)
-    in
+    let ordered = List.sort (fun (a, _, _) (b, _, _) -> Recovery.compare_gsn a b) (List.rev recs_) in
     let now = Engine.now t.eng in
     let cut = ref [] in
     let cur_file = ref (-1) in
@@ -620,32 +590,26 @@ and become_primary t nd =
      because its durable prefix >= the voter's; the two majorities
      intersect, so durable_off >= T and hence safe_off >= T: truncation
      never discards an acknowledged commit. *)
-  apply_upto nd ~upto:nd.safe_chunks;
+  apply_durable nd;
   truncate_stream nd ~off:nd.safe_off;
   nd.durable_chunks <- nd.n_chunks;
   nd.durable_off <- nd.safe_off;
   Hashtbl.reset nd.chunk_done;
-  (* resolve in-doubt prepared runs exactly like crash recovery *)
-  let in_doubt =
-    Hashtbl.fold
-      (fun file r acc -> match r.r_prep with Some (gxid, coord) -> (file, r, gxid, coord) :: acc | None -> acc)
-      nd.runs []
-  in
-  List.iter
-    (fun (_file, r, gxid, coord) ->
-      let ops = List.rev_map snd r.r_ops in
-      if t.decide { Recovery.gxid; coord; ops } then apply_batch nd (List.rev r.r_ops))
-    (List.sort (fun (fa, _, _, _) (fb, _, _, _) -> Int.compare fa fb) in_doubt);
-  Hashtbl.reset nd.runs;
-  (* a parked op here is a committed transaction whose base row never
-     arrived — the stream lost acknowledged writes; refuse to serve *)
-  (match nd.parked with
-  | [] -> ()
+  (* close the open runs exactly like crash recovery (in-doubt ones
+     through decide_in_doubt, the rest dropped); the inserts they held
+     back and the ops parked behind those apply now *)
+  Recovery.resolve nd.runs;
+  drain nd;
+  (* an op still parked here belongs to a committed transaction whose
+     base row never arrived — the stream lost acknowledged writes;
+     refuse to serve *)
+  (match Recovery.unapplied nd.runs with
+  | 0 -> ()
   | parked ->
     Error.bug ~subsystem:"replication.quorum"
       "view %d promotion on node %d: %d operation(s) of committed transactions reference rows \
        that never arrived — refusing to discard acknowledged writes"
-      nd.view nd.id (List.length parked));
+      nd.view nd.id parked);
   nd.role <- Primary;
   nd.leader <- nd.id;
   Obs.Counter.incr t.c_view_changes;
@@ -697,7 +661,10 @@ and on_new_view t nd ~view ~primary ~stream_len =
       else if nd.recv_off > stream_len then
         (* chunks past the new stream end were never quorum-acked and
            the new view will rewrite those offsets: drop them *)
-        truncate_stream nd ~off:stream_len
+        truncate_stream nd ~off:stream_len;
+      nd.new_view <- view;
+      nd.new_view_off <- stream_len;
+      apply_safe nd
     | Primary | Down -> ());
     send t ~src:nd.id ~dst:primary (Ack { view = nd.view; src = nd.id; off = nd.durable_off })
   end
@@ -717,13 +684,16 @@ and rebuild_follower t nd =
   nd.safe_off <- 0;
   nd.applied_chunks <- 0;
   nd.applied_as_of <- 0;
-  Hashtbl.reset nd.runs;
-  nd.parked <- [];
+  reset_runs t nd;
   Hashtbl.reset nd.pulled;
   nd.waiters <- []
 (* the mirror keeps orphaned bytes of the abandoned stream copy;
    re-shipped chunks append again (append-only media) and replay reads
    the chunk stream, so orphans are never decoded *)
+
+and reset_runs t nd =
+  nd.runs <- Recovery.runs ~decide_in_doubt:t.decide ();
+  nd.runs_view <- 0
 
 and fresh_db t =
   let db = Db.create_on t.eng t.dbcfg in
@@ -809,32 +779,6 @@ let rec schedule_monitor t nd =
       end)
 
 (* ------------------------------------------------------------------ *)
-(* Catch-up / oracle replay through the crash-recovery path *)
-
-let replay_stream t ~chunks ~count ~into =
-  (* group the journaled chunk prefix per view and replay each primary
-     generation in order, exactly like recovering from that WAL *)
-  let views = Hashtbl.create 4 in
-  for i = 0 to count - 1 do
-    let c = chunks.(i) in
-    let v = view_of_file c.c_file in
-    let l = Option.value ~default:[] (Hashtbl.find_opt views v) in
-    Hashtbl.replace views v (c :: l)
-  done;
-  let ordered = Hashtbl.fold (fun v l acc -> (v, List.rev l) :: acc) views [] in
-  let ordered = List.sort (fun (a, _) (b, _) -> Int.compare a b) ordered in
-  List.iter
-    (fun (v, cs) ->
-      t.replay_seq <- t.replay_seq + 1;
-      let dev =
-        Device.create t.eng ~name:(Printf.sprintf "replay-v%d-%d" v t.replay_seq) Device.pm9a3
-      in
-      let store = Walstore.create dev in
-      List.iter (fun c -> Walstore.append store ~file:c.c_file c.c_bytes ~on_durable:(fun () -> ())) cs;
-      ignore (Db.replay_wal ~decide_in_doubt:t.decide into ~from:store))
-    ordered
-
-(* ------------------------------------------------------------------ *)
 (* Construction and public surface *)
 
 let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_doubt) -> false)
@@ -899,8 +843,10 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
       safe_off = 0;
       applied_chunks = 0;
       applied_as_of = 0;
-      runs = Hashtbl.create 16;
-      parked = [];
+      runs = Recovery.runs ~decide_in_doubt ();
+      runs_view = 0;
+      new_view = 1;
+      new_view_off = 0;
       role = (if id = 0 then Primary else Follower);
       view = 1;
       voted_view = 1;
@@ -974,7 +920,6 @@ let kill t ~node =
     nd.gen <- nd.gen + 1;
     nd.role <- Down;
     t.partitioned.(node) <- true;
-    Wal.stop (Db.wal nd.db);
     nd.waiters <- []
 
 let staleness_ns t ~node =
@@ -1002,24 +947,43 @@ let restart_follower t ~node =
   | Down -> invalid_arg "Quorum.restart_follower: node is down"
   | Follower | Candidate -> ());
   (* process restart: the volatile tail past the last durable pull
-     barrier is lost; the journaled chunk prefix is recovered into a
-     fresh instance through the crash-recovery replay path *)
+     barrier is lost; the journaled chunk prefix is re-applied to a
+     fresh instance through the recovery run accumulator, which keeps
+     runs still open at the barrier open for their later commits *)
   truncate_stream nd ~off:nd.safe_off;
   nd.durable_chunks <- nd.n_chunks;
   nd.durable_off <- nd.safe_off;
   Hashtbl.reset nd.chunk_done;
-  Hashtbl.reset nd.runs;
-  nd.parked <- [];
+  reset_runs t nd;
   nd.db <- fresh_db t;
   install_barrier t nd;
   nd.applied_chunks <- 0;
-  replay_stream t ~chunks:nd.chunks ~count:nd.safe_chunks ~into:nd.db;
-  nd.applied_chunks <- nd.safe_chunks;
-  nd.applied_as_of <- (if nd.safe_chunks > 0 then nd.chunks.(nd.safe_chunks - 1).c_as_of else 0);
+  nd.applied_as_of <- 0;
+  apply_durable nd;
   nd.role <- Follower;
   nd.votes <- 0;
   nd.last_heard <- Engine.now t.eng
 
 let replay_durable_prefix t ~node ~into =
   let nd = t.nodes.(node) in
-  replay_stream t ~chunks:nd.chunks ~count:nd.safe_chunks ~into
+  (* group the journaled chunk prefix per view and replay each primary
+     generation in order, exactly like recovering from that WAL *)
+  let views = Hashtbl.create 4 in
+  for i = 0 to nd.safe_chunks - 1 do
+    let c = nd.chunks.(i) in
+    let v = view_of_file c.c_file in
+    let l = Option.value ~default:[] (Hashtbl.find_opt views v) in
+    Hashtbl.replace views v (c :: l)
+  done;
+  let ordered = Hashtbl.fold (fun v l acc -> (v, List.rev l) :: acc) views [] in
+  let ordered = List.sort (fun (a, _) (b, _) -> Int.compare a b) ordered in
+  List.iter
+    (fun (v, cs) ->
+      t.replay_seq <- t.replay_seq + 1;
+      let dev =
+        Device.create t.eng ~name:(Printf.sprintf "replay-v%d-%d" v t.replay_seq) Device.pm9a3
+      in
+      let store = Walstore.create dev in
+      List.iter (fun c -> Walstore.append store ~file:c.c_file c.c_bytes ~on_durable:(fun () -> ())) cs;
+      ignore (Db.replay_wal ~decide_in_doubt:t.decide into ~from:store))
+    ordered

@@ -1,5 +1,4 @@
-(** Quorum-replicated commit with automated failover: the N-replica
-    generalisation of the warm standby in {!Replication}.
+(** Quorum-replicated commit with automated failover.
 
     A group is one primary plus [replicas] followers, all simulated on
     one discrete-event engine. The primary serialises its durable WAL
@@ -12,7 +11,10 @@
     is a durability vote, not a delivery receipt. Pull boundaries are
     barriers: followers apply only whole pulls (so mid-transaction
     prefixes are never visible), quorum-ack targets land on barriers,
-    and promotion truncates to the last durable barrier.
+    and promotion truncates to the last durable barrier. Followers
+    apply through crash recovery's run accumulator
+    ({!Phoebe_wal.Recovery.runs}): the same run grouping, in-doubt
+    resolution and apply order as replaying a WAL.
 
     Commit visibility on the primary is gated on the quorum: after the
     local WAL wait, a writing transaction parks until a majority of the
@@ -62,8 +64,9 @@ val create :
     same creation order), per-node mirror devices (inheriting the
     config's fault injection under distinct seeds), and node 0 as the
     initial primary of view 1. [decide_in_doubt] resolves prepared-but-
-    undecided branch transactions at promotion and catch-up replay,
-    like crash recovery (default: presumed abort). *)
+    undecided branch transactions when their view ends — at promotion,
+    on followers, and in {!replay_durable_prefix} — like crash recovery
+    (default: presumed abort). *)
 
 (** {1 Topology and progress} *)
 
@@ -120,8 +123,8 @@ val set_partitioned : t -> node:int -> bool -> unit
 val restart_follower : t -> node:int -> unit
 (** Follower process restart: volatile stream state past the last
     durable pull barrier is lost, and the surviving journaled prefix is
-    replayed into a fresh instance through the crash-recovery path
-    (per primary generation, in view order). The follower then
+    re-applied to a fresh instance through the follower's apply path
+    ({!Phoebe_wal.Recovery.runs}, view by view). The follower then
     re-syncs from the primary via the normal ack-rewind rule. *)
 
 (** {1 Follower reads} *)

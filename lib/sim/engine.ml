@@ -18,15 +18,18 @@ let schedule_at t ~time action =
 
 let schedule t ~delay action = schedule_at t ~time:(t.now + if delay < 0 then 0 else delay) action
 
+let fire t ev =
+  t.now <- ev.time;
+  t.processed <- t.processed + 1;
+  if Sanitize.on () then Sanitize.digest_event ev.time ev.seq;
+  ev.action ()
+
 let run t =
   let rec loop () =
     match Phoebe_util.Binheap.pop t.heap with
     | None -> ()
     | Some ev ->
-      t.now <- ev.time;
-      t.processed <- t.processed + 1;
-      if Sanitize.on () then Sanitize.digest_event ev.time ev.seq;
-      ev.action ();
+      fire t ev;
       loop ()
   in
   loop ()
@@ -36,9 +39,7 @@ let run_until t ~time =
     match Phoebe_util.Binheap.peek t.heap with
     | Some ev when ev.time <= time ->
       ignore (Phoebe_util.Binheap.pop t.heap);
-      t.now <- ev.time;
-      if Sanitize.on () then Sanitize.digest_event ev.time ev.seq;
-      ev.action ();
+      fire t ev;
       loop ()
     | _ -> if t.now < time then t.now <- time
   in

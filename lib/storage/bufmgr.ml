@@ -319,19 +319,6 @@ let would_strip t f =
   | Some sf, Some p -> sf ~page_id:f.fpage_id p != p
   | _ -> false
 
-let write_back t frame =
-  match frame.fpayload with
-  | Some p when frame.fdirty ->
-    let raw, stripped = encode_image t ~page_id:frame.fpage_id p in
-    Pagestore.write t.pstore ~page_id:frame.fpage_id raw;
-    if not stripped then begin
-      frame.fdirty <- false;
-      if Sanitize.on () then
-        Sanitize.frame_clean ~scope:t.scope ~page_id:frame.fpage_id
-          ~resident:(frame.fpayload <> None)
-    end
-  | _ -> ()
-
 let set_write_sanitizer t f = t.sanitize <- Some f
 
 let access_count f = f.faccess_count

@@ -97,10 +97,6 @@ val set_write_sanitizer : 'p t -> (page_id:int -> 'p -> 'p) -> unit
     image is flushed again later rather than silently lost to a
     clean-frame eviction. *)
 
-val write_back : 'p t -> 'p frame -> unit
-(** Persist a dirty resident frame to the store without evicting it
-    (checkpointing). No-op on clean or non-resident frames. *)
-
 (** {1 Temperature metadata (read by the freeze engine and RFA)} *)
 
 val access_count : 'p frame -> int

@@ -555,9 +555,6 @@ let gc_twins t ~watermark =
 
 let limbo_length t = List.length t.undo_limbo
 
-let dump_active t =
-  Hashtbl.fold (fun _ txn acc -> (txn.xid, txn.slot, txn.waiting_on) :: acc) t.active []
-
 let undo_bytes t = Obs.Counter.get t.live_undo_bytes
 let stats_aborted t = Obs.Counter.get t.n_aborted
 let stats_committed t = Obs.Counter.get t.n_committed

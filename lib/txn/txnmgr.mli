@@ -216,6 +216,3 @@ val stats_committed : t -> int
 val stats_aborted_for : t -> abort_reason -> int
 (** Aborts broken down by reason (sums to {!stats_aborted}). *)
 
-val dump_active : t -> (int * int * int) list
-(** (xid, slot, waiting_on) of every active transaction — deadlock
-    diagnostics for tests and tooling. *)

@@ -9,7 +9,6 @@ module Sanitize = Phoebe_sanitize.Sanitize
 
 type config = {
   group_flush_bytes : int;
-  group_flush_interval_ns : int;
   sync_commit : bool;
   rfa : bool;
   single_writer : bool;
@@ -18,7 +17,6 @@ type config = {
 let default_config =
   {
     group_flush_bytes = 16 * 1024;
-    group_flush_interval_ns = 50_000;
     sync_commit = true;
     rfa = true;
     single_writer = false;
@@ -45,7 +43,6 @@ type t = {
   cfg : config;
   writers : writer array;
   mutable remote_waiters : (int * (unit -> unit)) list;  (** (gsn, resume) *)
-  mutable running : bool;
   records : Obs.Counter.t;
   bytes : Obs.Counter.t;
   bytes_durable : Obs.Counter.t;
@@ -79,7 +76,6 @@ let create ?obs ?(resume = false) engine ~store ~n_slots cfg =
             lsn_waiters = [];
           });
     remote_waiters = [];
-    running = false;
     records = counter "wal.records";
     bytes = counter "wal.bytes";
     bytes_durable = counter "wal.bytes.durable";
@@ -245,22 +241,6 @@ let commit_durable t ~slot ~lsn ~needs_remote ~remote_gsn =
     else Obs.Counter.incr t.n_local_commits
   end
 
-let rec schedule_tick t =
-  if t.running then
-    Engine.schedule t.engine ~delay:t.cfg.group_flush_interval_ns (fun () ->
-        if t.running then begin
-          Array.iter (fun w -> flush t w) t.writers;
-          schedule_tick t
-        end)
-
-let start_background_flusher t =
-  if not t.running then begin
-    t.running <- true;
-    schedule_tick t
-  end
-
-let stop t = t.running <- false
-
 let flush_all t ~on_done =
   Array.iter (fun w -> flush t w) t.writers;
   let rec check () =
@@ -271,15 +251,6 @@ let flush_all t ~on_done =
     else on_done ()
   in
   check ()
-
-let dump_writers t =
-  Array.to_list t.writers
-  |> List.filter_map (fun w ->
-         if Int.equal w.next_lsn 0 then None
-         else
-           Some
-             (w.wslot, Buffer.length w.buf, Queue.length w.pending, w.inflight, w.flushed_lsn,
-              List.length w.lsn_waiters))
 
 let remote_waiter_count t = List.length t.remote_waiters
 

@@ -15,7 +15,6 @@ type t
 
 type config = {
   group_flush_bytes : int;  (** flush a writer when this much is buffered *)
-  group_flush_interval_ns : int;  (** periodic background flush cadence *)
   sync_commit : bool;  (** false = asynchronous commit (no durability wait) *)
   rfa : bool;  (** false disables RFA: every commit waits for all writers (ablation) *)
   single_writer : bool;
@@ -79,12 +78,6 @@ val commit_durable :
     flushed all records with GSN [<= remote_gsn]. No-op when
     [sync_commit] is off. *)
 
-val start_background_flusher : t -> unit
-(** Schedule the periodic group-flush events on the simulation engine.
-    Stops automatically when [stop] is called. *)
-
-val stop : t -> unit
-
 val flush_all : t -> on_done:(unit -> unit) -> unit
 (** Force-flush every writer (shutdown / quiesce path). *)
 
@@ -110,9 +103,5 @@ val local_commits : t -> int
 val store : t -> Phoebe_io.Walstore.t
 
 val debug : bool ref
-
-val dump_writers : t -> (int * int * int * bool * int * int) list
-(** (slot, buffered_bytes, pending_records, inflight, flushed_lsn,
-    lsn_waiters) for every writer with any activity — diagnostics. *)
 
 val remote_waiter_count : t -> int

@@ -41,7 +41,10 @@ let test_engine_run_until () =
   Engine.run_until e ~time:500;
   check_int "only first ran" 1 !ran;
   check_int "clock moved to horizon" 500 (Engine.now e);
-  check_int "one pending" 1 (Engine.pending e)
+  check_int "one pending" 1 (Engine.pending e);
+  check_int "processed counts run_until events" 1 (Engine.processed e);
+  Engine.run_until e ~time:2000;
+  check_int "processed advances on the next horizon" 2 (Engine.processed e)
 
 let test_engine_past_schedule_clamped () =
   let e = Engine.create () in
