@@ -1,8 +1,9 @@
-(* phoebe_check: static effect analysis of the kernel libraries over
-   the dune build's .cmt files (see lib/check and DESIGN.md section 4k).
+(* phoebe_check: the static analyzer of the kernel libraries — effect
+   reachability and per-site rules over the dune build's .cmt files
+   (see lib/check and DESIGN.md section 4k).
 
    Usage:
-     phoebe_check [--root DIR] [--dump-order-graph] [--recovery-unit M]... [CMT_DIR...]
+     phoebe_check [--root DIR] [--dump-order-graph] [CMT_DIR...]
 
    With no CMT_DIR arguments the tool scans the standard library layout
    under the root: <root>/_build/default/lib when present (running from
@@ -14,7 +15,6 @@ let () =
   let root = ref "." in
   let dump = ref false in
   let dirs = ref [] in
-  let recovery = ref [] in
   let rec parse = function
     | [] -> ()
     | "--root" :: d :: rest ->
@@ -23,12 +23,9 @@ let () =
     | "--dump-order-graph" :: rest ->
       dump := true;
       parse rest
-    | "--recovery-unit" :: m :: rest ->
-      recovery := m :: !recovery;
-      parse rest
     | ("--help" | "-h") :: _ ->
       print_endline
-        "usage: phoebe_check [--root DIR] [--dump-order-graph] [--recovery-unit M]... [CMT_DIR...]";
+        "usage: phoebe_check [--root DIR] [--dump-order-graph] [CMT_DIR...]";
       exit 0
     | d :: rest ->
       dirs := d :: !dirs;
@@ -42,11 +39,7 @@ let () =
       if Sys.file_exists built then [ built ] else [ Filename.concat !root "lib" ]
     end
   in
-  let config =
-    let base = { Phoebe_check.Check.default_config with cmt_dirs; src_root = !root } in
-    if !recovery = [] then base
-    else { base with Phoebe_check.Check.recovery_units = List.rev !recovery }
-  in
+  let config = { Phoebe_check.Check.default_config with cmt_dirs; src_root = !root } in
   let r = Phoebe_check.Check.analyze config in
   if r.Phoebe_check.Check.n_units = 0 then begin
     prerr_endline "phoebe_check: no .cmt files found (run `dune build` first)";

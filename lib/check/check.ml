@@ -1,18 +1,20 @@
-(* phoebe_check: interprocedural effect analysis over the typed ASTs of
-   the kernel libraries (DESIGN.md section 4k). Orchestrates the cmt
-   loader, per-unit extraction, the effect-summary fixpoint, and the
-   four rule families; findings are filtered through phoebe_lint-style
-   allow pragmas and rendered deterministically (byte-identical across
-   runs on the same tree). *)
+(* phoebe_check: the kernel's one static analyzer over the typed ASTs
+   of the kernel libraries (DESIGN.md section 4k). Orchestrates the cmt
+   loader, per-unit extraction, the effect-summary fixpoint, the
+   reachability rules and the per-site rules (sites.ml); findings are
+   filtered through allow pragmas and rendered deterministically
+   (byte-identical across runs on the same tree). *)
 
 type config = {
   cmt_dirs : string list;
   src_root : string;
-  recovery_units : string list;  (** units whose functions are recovery entry points *)
+  recovery_units : string list;
+      (** units, or source directories, whose functions are recovery
+          entry points *)
 }
 
 let default_config =
-  { cmt_dirs = []; src_root = "."; recovery_units = [ "Recovery" ] }
+  { cmt_dirs = []; src_root = "."; recovery_units = [ "lib/replication"; "lib/wal" ] }
 
 type result = {
   findings : Report.finding list;
@@ -150,7 +152,12 @@ let analyze config =
   let recovery_entries =
     List.filter
       (fun (d : Extract.def) ->
-        d.Extract.is_fun && List.exists (String.equal d.Extract.unit_name) config.recovery_units)
+        d.Extract.is_fun
+        && List.exists
+             (fun u ->
+               String.equal u d.Extract.unit_name
+               || String.equal u (Filename.dirname d.Extract.source))
+             config.recovery_units)
       defs
   in
   let findings =
@@ -160,6 +167,8 @@ let analyze config =
         ~describe:(fun _ -> "allocates on the heap")
     @ reach_findings g ~entries:recovery_entries ~kind:`Raise ~rule:"recovery-raise"
         ~describe:(fun _ -> "may raise out of recovery")
+    @ Sites.findings loaded ~hot:(fun u ->
+          Pragma.is_hot_file (pragmas_for u.Loader.source u.Loader.source))
   in
   (* pragma filtering: a finding is suppressed by an allow at its site or
      at any of its extra locations (e.g. the chain's entry point) *)

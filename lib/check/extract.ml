@@ -49,15 +49,6 @@ type def = {
 
 let split_dots s = String.split_on_char '.' s
 
-let short_seg seg =
-  let n = String.length seg in
-  let rec find i =
-    if i + 1 >= n then None
-    else if seg.[i] = '_' && seg.[i + 1] = '_' then Some (i + 2)
-    else find (i + 1)
-  in
-  match find 0 with None -> seg | Some j -> String.sub seg j (n - j)
-
 (* Normalize a typedtree path to short-unit form: resolve local module
    aliases, unmangle "Lib__Unit" segments, drop a leading library alias
    root ("Phoebe_storage.Latch.f" -> "Latch.f"). *)
@@ -71,7 +62,7 @@ let normalize ~lib_roots ~aliases name =
       | None -> segs)
     | [] -> segs
   in
-  let segs = List.map short_seg segs in
+  let segs = List.map Loader.short_of_modname segs in
   let segs =
     match segs with
     | head :: (_ :: _ as tl) when List.exists (String.equal head) lib_roots -> tl

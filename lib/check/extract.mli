@@ -25,6 +25,14 @@ type def = {
   returns_field : string option;  (** latch class, for accessor functions *)
 }
 
+val normalize : lib_roots:string list -> aliases:(string, string) Hashtbl.t -> string -> string
+(** A typed-tree path name in short-unit form: the head resolved
+    through [aliases] (local module alias -> normalized target), each
+    segment unmangled, a leading library root dropped
+    (["Phoebe_storage.Latch.f"] -> ["Latch.f"]), and [Stdlib.] dropped
+    before a module path (["Stdlib.Hashtbl.find"] -> ["Hashtbl.find"],
+    while ["Stdlib.compare"] keeps it). *)
+
 val defs_of_unit : lib_roots:string list -> Loader.unit_info -> def list
 (** All toplevel (and nested-module) value definitions of a unit, in
     source order. *)

@@ -4,7 +4,7 @@
 type unit_info = {
   unit_name : string;  (** short module name, e.g. "Latch" *)
   source : string;  (** source path as recorded by the compiler *)
-  builddir : string;  (** absolute dir the compiler ran in *)
+  has_mli : bool;  (** a .cmti sits beside the .cmt *)
   str : Typedtree.structure;
 }
 
@@ -13,9 +13,10 @@ type t = {
   lib_roots : string list;  (** alias-unit module names, e.g. "Phoebe_storage" *)
 }
 
+val short_of_modname : string -> string
+(** Unmangle a dune-wrapped unit name: ["Phoebe_storage__Latch"] ->
+    ["Latch"]; a name without a double underscore is returned as is. *)
+
 val load_dirs : string list -> t
 (** Recursively collect and read every .cmt under the given directories.
     Unreadable or interface-only cmts are skipped. *)
-
-val resolve_source : src_root:string -> unit_info -> string option
-(** Resolve a unit's compiler-recorded source path to a readable file. *)

@@ -1,11 +1,12 @@
-(* Source-comment pragmas, sharing phoebe_lint's syntax:
+(* Source-comment pragmas:
 
      (* lint: allow <rule> *)        on the finding line or the line above
      (* lint: allow <rule> file *)   anywhere, whole file
 
-   and the hot entry-point tag — "hot-path" after the usual "lint:"
-   prefix, in a comment within two lines above a toplevel [let] — which
-   marks that definition a hot entry point
+   and the hot-path tag — "hot-path" after the usual "lint:" prefix.
+   Anywhere in a file, it makes the file hot for the hot-alloc rule;
+   in a comment within two lines above a toplevel [let], it also marks
+   that definition a hot entry point for hot-path-alloc.
 
    Pragmas are only honored inside comments: the scanner strips string
    literals (including {|...|} quoted strings) first, so a pragma-shaped
@@ -131,6 +132,8 @@ let allowed t ~rule ~line =
   List.exists
     (fun (r, l, file_scoped) -> String.equal r rule && (file_scoped || l = line || l = line - 1))
     t.allows
+
+let is_hot_file t = t.hot_lines <> []
 
 let is_hot_entry t ~def_line =
   List.exists (fun l -> l = def_line - 1 || l = def_line - 2) t.hot_lines

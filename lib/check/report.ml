@@ -3,7 +3,9 @@
      park-while-latched   non-I/O suspension reachable under a latch
      latch-order-cycle    cycle in the static acquisition-order graph
      hot-path-alloc       allocation reachable from a hot entry point
-     recovery-raise       raising stdlib partial reachable from recovery *)
+     recovery-raise       raising stdlib partial reachable from recovery
+   and the per-site rules of sites.ml: random, wall-clock, poly-compare,
+   poly-eq-id, hashtbl-iter-mutate, missing-mli, hot-alloc *)
 
 type finding = {
   rule : string;

@@ -141,9 +141,8 @@ let cpu_off t ~slot =
 let suspend t ~slot phase ~now =
   if slot >= 0 && slot < Array.length t.slots then begin
     let s = t.slots.(slot) in
-    (* Only leave Execute: a specific wait hint (Wal_wait) placed just
-       before the scheduler's generic Io_wait probe must not be
-       overwritten by it. *)
+    (* Only leave Execute: the first specific wait phase recorded for a
+       suspension must not be overwritten by a later probe. *)
     if s.active && s.phase = 0 then begin
       s.acc.(0) <- s.acc.(0) + (now - s.seg_start);
       s.seg_start <- now;

@@ -139,13 +139,10 @@ type t = {
   decide : Recovery.in_doubt -> bool;
   obs : Obs.t;
   chan : Netchan.t;
-  net_rng : Prng.t;
-  partitioned : bool array;
   mutable nodes : node array;
   n : int;
   majority : int;
   mutable stopped : bool;
-  mutable net_dropped : int;
   mutable replay_seq : int;
   c_ships : Obs.Counter.t;
   c_acks : Obs.Counter.t;
@@ -340,11 +337,8 @@ let apply_safe nd =
 (* The protocol *)
 
 let rec send t ~src ~dst m =
-  if (not t.stopped) && (not t.partitioned.(src)) && not t.partitioned.(dst) then begin
-    if t.gcfg.drop_p > 0.0 && Prng.float t.net_rng 1.0 < t.gcfg.drop_p then
-      t.net_dropped <- t.net_dropped + 1
-    else Netchan.send t.chan ~src ~dst ~bytes:(msg_bytes m) (fun () -> deliver t ~dst m)
-  end
+  if not t.stopped then
+    Netchan.send t.chan ~src ~dst ~bytes:(msg_bytes m) (fun () -> deliver t ~dst m)
 
 and broadcast t ~src m =
   for j = 0 to t.n - 1 do
@@ -787,7 +781,10 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
   let n = group.replicas + 1 in
   let eng = Engine.create () in
   let obs = Obs.create () in
-  let chan = Netchan.create eng ~nodes:n ~latency_ns:group.latency_ns ~gbps:group.gbps in
+  let chan =
+    Netchan.create ~drop_p:group.drop_p ~seed:group.net_seed eng ~nodes:n
+      ~latency_ns:group.latency_ns ~gbps:group.gbps
+  in
   let t =
     {
       eng;
@@ -797,13 +794,10 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
       decide = decide_in_doubt;
       obs;
       chan;
-      net_rng = Prng.create ~seed:group.net_seed;
-      partitioned = Array.make n false;
       nodes = [||];
       n;
       majority = (n / 2) + 1;
       stopped = false;
-      net_dropped = 0;
       replay_seq = 0;
       c_ships = Obs.counter obs "quorum.ship_msgs";
       c_acks = Obs.counter obs "quorum.acks";
@@ -869,7 +863,7 @@ let create ?(group = default_config) ?(decide_in_doubt = fun (_ : Recovery.in_do
   Array.iter (fun nd -> install_barrier t nd) t.nodes;
   Obs.int_fn obs "quorum.view" (fun () ->
       Array.fold_left (fun a nd -> max a nd.view) 0 t.nodes);
-  Obs.int_fn obs "quorum.net_dropped" (fun () -> t.net_dropped);
+  Obs.int_fn obs "quorum.net_dropped" (fun () -> Netchan.lost chan);
   Obs.int_fn obs "quorum.net_msgs" (fun () -> Netchan.msgs chan);
   Obs.int_fn obs "quorum.net_bytes" (fun () -> Netchan.bytes chan);
   schedule_tick t t.nodes.(0) 0;
@@ -907,7 +901,7 @@ let net_utilization t = Netchan.utilization t.chan
 let mirror_utilization t ~node = Device.busy_fraction (Walstore.device t.nodes.(node).mirror)
 let run_for t ~ns = Engine.run_until t.eng ~time:(Engine.now t.eng + ns)
 let shutdown t = t.stopped <- true
-let set_partitioned t ~node p = t.partitioned.(node) <- p
+let set_partitioned t ~node p = Netchan.set_partitioned t.chan ~node p
 
 let kill t ~node =
   let nd = t.nodes.(node) in
@@ -919,7 +913,7 @@ let kill t ~node =
        those commits were never acknowledged to anyone. *)
     nd.gen <- nd.gen + 1;
     nd.role <- Down;
-    t.partitioned.(node) <- true;
+    Netchan.set_partitioned t.chan ~node true;
     nd.waiters <- []
 
 let staleness_ns t ~node =

@@ -1,8 +1,8 @@
 (** The cluster's view of the network: {!Phoebe_sim.Netchan} (latency,
-    bandwidth, FIFO links) plus the failure policy — deterministic
-    PRNG message loss and per-shard partitions — and per-shard delivery
-    handlers. Messages are {!Msg.t}s, encoded at send and decoded at
-    delivery so byte charges are honest. *)
+    bandwidth, FIFO links, partitions and deterministic PRNG message
+    loss) carrying {!Msg.t}s to per-shard delivery handlers. Messages
+    are encoded at send and decoded at delivery so byte charges are
+    honest. *)
 
 type config = {
   latency_ns : int;  (** one-way propagation latency *)
@@ -17,8 +17,9 @@ val default_config : config
 type t
 
 val create : ?obs:Phoebe_obs.Obs.t -> Phoebe_sim.Engine.t -> nodes:int -> config -> t
-(** With [obs], registers [net.msgs], [net.bytes], [net.dropped] and
-    [net.utilization] (hottest-link busy fraction). *)
+(** With [obs], registers [net.msgs], [net.bytes], [net.dropped]
+    (partition and loss drops) and [net.utilization] (hottest-link busy
+    fraction). *)
 
 val set_handler : t -> node:int -> (Msg.t -> unit) -> unit
 
@@ -29,8 +30,6 @@ val send : t -> Msg.t -> unit
 
 val set_partitioned : t -> node:int -> bool -> unit
 (** A partitioned shard neither sends nor receives until healed. *)
-
-val is_partitioned : t -> node:int -> bool
 
 val msgs : t -> int
 val bytes : t -> int

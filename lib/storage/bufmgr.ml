@@ -322,13 +322,11 @@ let would_strip t f =
 let set_write_sanitizer t f = t.sanitize <- Some f
 
 let access_count f = f.faccess_count
-let last_access f = f.flast_access
 let page_gsn f = f.fgsn
 let set_page_gsn f g = f.fgsn <- g
 let last_writer_slot f = f.fwriter_slot
 let set_last_writer_slot f s = f.fwriter_slot <- s
 
-let reset_access_stats f = f.faccess_count <- 0
 let halve_access_count f = f.faccess_count <- f.faccess_count / 2
 
 let resident_frame_of_swip swip =
@@ -559,13 +557,16 @@ and evict_one t part =
         if not (would_strip t f) then begin
           Obs.Counter.incr t.cl_dirty_fallbacks;
           let raw, stripped = encode_image t ~page_id:f.fpage_id p in
-          Pagestore.write t.pstore ~page_id:f.fpage_id raw;
+          (* flip clean before the write suspends, as the cleaner does:
+             a writer that re-dirties the frame mid-write must leave it
+             dirty, or the re-check below would drop its change *)
           if not stripped then begin
             f.fdirty <- false;
             if Sanitize.on () then
               Sanitize.frame_clean ~scope:t.scope ~page_id:f.fpage_id
                 ~resident:(f.fpayload <> None)
-          end
+          end;
+          Pagestore.write t.pstore ~page_id:f.fpage_id raw
         end
       end
       else Obs.Counter.incr t.cl_clean_evicts;
@@ -694,35 +695,8 @@ let write_back_batch t frames =
       (chunked batch_pages dirty)
   end
 
-let flush_all_dirty t ~on_done =
-  let batch_pages = max 1 t.cleaner_cfg.cl_batch_pages in
-  let chunks =
-    Array.to_list t.parts
-    |> List.concat_map (fun part ->
-           Hashtbl.fold
-             (fun _ f acc -> if f.fdirty && f.fpayload <> None then f :: acc else acc)
-             part.frames []
-           |> List.sort (fun a b -> Int.compare a.fpage_id b.fpage_id)
-           |> chunked batch_pages)
-  in
-  match chunks with
-  | [] -> on_done ()
-  | _ ->
-    let remaining = ref (List.length chunks) in
-    List.iter
-      (fun chunk ->
-        let pages = snapshot_chunk t chunk in
-        Obs.Counter.incr t.cl_batches;
-        Obs.Counter.add t.cl_pages (List.length pages);
-        Stats.Scalar.add t.cl_batch_sizes (float_of_int (List.length pages));
-        Pagestore.write_batch t.pstore pages ~on_complete:(fun () ->
-            decr remaining;
-            if !remaining = 0 then on_done ()))
-      chunks
-
 let resident_bytes t = Array.fold_left (fun acc p -> acc + p.used_bytes) 0 t.parts
 let resident_pages t = Array.fold_left (fun acc p -> acc + Hashtbl.length p.frames) 0 t.parts
-let partition_of_frame f = f.fpartition
 let is_resident f = f.fpayload <> None
 let store t = t.pstore
 let n_partitions t = Array.length t.parts

@@ -100,12 +100,10 @@ val set_write_sanitizer : 'p t -> (page_id:int -> 'p -> 'p) -> unit
 (** {1 Temperature metadata (read by the freeze engine and RFA)} *)
 
 val access_count : 'p frame -> int
-val last_access : 'p frame -> int
 val page_gsn : 'p frame -> int
 val set_page_gsn : 'p frame -> int -> unit
 val last_writer_slot : 'p frame -> int
 val set_last_writer_slot : 'p frame -> int -> unit
-val reset_access_stats : 'p frame -> unit
 
 val halve_access_count : 'p frame -> unit
 (** Exponential decay step for "access frequency over time" (§5.2). *)
@@ -168,12 +166,6 @@ val write_back_batch : 'p t -> 'p frame list -> unit
     suspends until every chunk completes. Clean or non-resident frames
     are skipped. Must run inside a scheduler fiber. *)
 
-val flush_all_dirty : 'p t -> on_done:(unit -> unit) -> unit
-(** Write back every dirty resident frame in every partition (sorted by
-    page id, chunked at [cl_batch_pages]) and call [on_done] once all
-    batches complete. Callback-style so the checkpoint path can drive it
-    from outside a fiber; frames stay resident. *)
-
 (** {1 Replacement} *)
 
 val maintain : 'p t -> partition:int -> unit
@@ -191,7 +183,6 @@ val needs_maintenance : 'p t -> partition:int -> bool
 
 val resident_bytes : 'p t -> int
 val resident_pages : 'p t -> int
-val partition_of_frame : 'p frame -> int
 val is_resident : 'p frame -> bool
 val store : 'p t -> Phoebe_io.Pagestore.t
 val n_partitions : 'p t -> int

@@ -26,7 +26,6 @@ type t = {
 let create ~arity = { arity; slots = [||]; cursor = [||]; res = [||] }
 
 let grow t slot =
-  (* lint: allow hot-alloc — one-time pool growth, off the steady state *)
   let n = Array.length t.slots in
   let n' = max (slot + 1) (max 4 (2 * n)) in
   let slots = Array.make n' [||] in (* lint: allow hot-alloc — pool growth, off steady state *) (* lint: allow hot-path-alloc — pool growth, off steady state *)

@@ -138,7 +138,6 @@ val set_commit_barrier : t -> (slot:int -> lsn:int -> unit) option -> unit
     durability — the branch is never taken and the event schedule is
     bit-identical. *)
 
-val find_active : t -> xid:int -> txn option
 val active_count : t -> int
 
 (** {1 Waiting (transaction-ID locks)} *)
@@ -147,10 +146,6 @@ val wait_for_txn : t -> txn -> holder_xid:int -> unit
 (** Take a shared lock on [holder_xid]'s ID lock: block until that
     transaction finishes. Detects wait-for cycles and raises {!Abort}
     on deadlock. Returns immediately if the holder already finished. *)
-
-val holder_state_after_wait : t -> xid:int -> state
-(** After a wait, what became of the holder (for the RR commit/abort
-    decision). [Committed] if it is no longer active. *)
 
 (** {1 Twin tables} *)
 
@@ -203,9 +198,6 @@ val gc_twins : t -> watermark:int -> int
     when it was parked strictly before every still-active transaction
     started — a reader suspended mid-chain-walk can therefore never see
     a recycled entry (DESIGN.md §4h). *)
-
-val limbo_length : t -> int
-(** Number of undo batches awaiting their recycling grace period. *)
 
 val undo_bytes : t -> int
 (** Live UNDO memory (decreases as GC reclaims). *)

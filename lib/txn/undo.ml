@@ -45,7 +45,7 @@ let make ~table_id ~rid ~kind ~sts ~xid ~slot ~prev =
     u.reclaimed <- false;
     u
   | None ->
-    (* lint: allow hot-alloc — cold start / freelist empty *) (* lint: allow hot-path-alloc — cold start / freelist empty *)
+    (* lint: allow hot-path-alloc — cold start / freelist empty *)
     {
       table_id;
       rid;

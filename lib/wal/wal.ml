@@ -194,7 +194,6 @@ let append t ~slot op ~gsn =
   if Buffer.length w.buf >= t.cfg.group_flush_bytes || t.remote_waiters <> [] then flush t w;
   lsn
 
-let current_lsn t ~slot = t.writers.(effective_slot t slot).next_lsn - 1
 let flushed_lsn t ~slot = t.writers.(effective_slot t slot).flushed_lsn
 let flushed_gsn t ~slot = t.writers.(effective_slot t slot).max_flushed_gsn
 
@@ -251,8 +250,6 @@ let flush_all t ~on_done =
     else on_done ()
   in
   check ()
-
-let remote_waiter_count t = List.length t.remote_waiters
 
 let total_records t = Obs.Counter.get t.records
 let total_bytes t = Obs.Counter.get t.bytes

@@ -55,7 +55,6 @@ val observe_page : t -> slot:int -> page_gsn:int -> writer_slot:int -> bool
 val append : t -> slot:int -> Record.op -> gsn:int -> int
 (** Append a record to the slot's WAL buffer; returns its LSN. *)
 
-val current_lsn : t -> slot:int -> int
 val flushed_lsn : t -> slot:int -> int
 
 val durable_floor : t -> int
@@ -103,5 +102,3 @@ val local_commits : t -> int
 val store : t -> Phoebe_io.Walstore.t
 
 val debug : bool ref
-
-val remote_waiter_count : t -> int

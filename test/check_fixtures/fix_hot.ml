@@ -1,7 +1,7 @@
 (* Fixture: a hot-path-tagged entry point reaching a closure-capturing
    allocation through a helper — phoebe_check must report
-   [hot-path-alloc] with the chain, where the token linter
-   (phoebe_lint's hot-alloc rule) sees only the helper's own file. *)
+   [hot-path-alloc] with the chain, where the file-scoped [hot-alloc]
+   rule sees only the helper's own direct List.map. *)
 
 let helper base xs = List.map (fun x -> x + base) xs
 

@@ -1,12 +1,16 @@
 (* Static-analyzer tests: each rule family must fire by name on the
    seeded fixtures in test/check_fixtures (with call-chain witnesses and
-   the documented exemptions), the shipped lib/ tree must analyze clean,
+   the documented exemptions), every fixture file must carry exactly its
+   expected multiset of rule names (pragma'd twins suppressed), the
+   pragma scanner must honor pragmas only inside comments, the shipped
+   lib/ tree must analyze clean,
    the rendered report must be byte-identical across runs, and the
    runtime sanitizer's observed lock-order class edges from a sanitized
    TPC-C run must be a subset of the static acquisition-order graph. *)
 open Phoebe_core
 module Check = Phoebe_check.Check
 module Report = Phoebe_check.Report
+module Pragma = Phoebe_check.Pragma
 module Sanitize = Phoebe_sanitize.Sanitize
 module Latch = Phoebe_storage.Latch
 module T = Phoebe_tpcc.Tpcc
@@ -32,15 +36,10 @@ let require_dir d =
   if not (Sys.file_exists d && Sys.is_directory d) then
     Alcotest.failf "cmt directory %s not found (cwd %s); build the tree first" d (Sys.getcwd ())
 
-let analyze_fixtures () =
+let analyze_fixtures ?(recovery_units = [ "Fix_raise" ]) () =
   require_dir lib_cmts;
   require_dir fixture_cmts;
-  Check.analyze
-    {
-      Check.cmt_dirs = [ lib_cmts; fixture_cmts ];
-      src_root;
-      recovery_units = [ "Fix_raise" ];
-    }
+  Check.analyze { Check.cmt_dirs = [ lib_cmts; fixture_cmts ]; src_root; recovery_units }
 
 let analyze_lib () =
   require_dir lib_cmts;
@@ -114,6 +113,115 @@ let test_fixture_findings_confined () =
           true
           (contains f.Report.file "check_fixtures"))
     r.Check.findings
+
+(* Every fixture file against its expected rule multiset. Each per-site
+   rule's fixture also holds a pragma'd twin of one violation, and
+   fix_allowed.ml / fix_compare_file.ml / lib/fix_nomli_allowed.ml are
+   covered by file-scoped pragmas, so a count here also proves the
+   pragmas suppress. replay/ is named as a recovery entry directory,
+   Fix_raise as a recovery entry unit. *)
+let fixture_table =
+  [
+    ("fix_random.ml", [ "random"; "random"; "random" ]);
+    ("fix_clock.ml", [ "wall-clock"; "wall-clock"; "wall-clock" ]);
+    ("fix_compare.ml", [ "poly-compare"; "poly-compare" ]);
+    ("fix_compare_file.ml", []);
+    ("fix_eq_id.ml", [ "poly-eq-id"; "poly-eq-id"; "poly-eq-id" ]);
+    ("fix_iter.ml", [ "hashtbl-iter-mutate"; "hashtbl-iter-mutate" ]);
+    ("fix_hot_alloc.ml", [ "hot-alloc"; "hot-alloc"; "hot-alloc"; "hot-alloc"; "hot-alloc" ]);
+    ("fix_cold_alloc.ml", []);
+    ("fix_allowed.ml", []);
+    ("lib/fix_nomli.ml", [ "missing-mli" ]);
+    ("lib/fix_mli.ml", []);
+    ("lib/fix_nomli_allowed.ml", []);
+    ("replay/fix_partials.ml", [ "recovery-raise"; "recovery-raise" ]);
+    ("fix_raise.ml", [ "recovery-raise"; "recovery-raise" ]);
+    ("fix_hot.ml", [ "hot-alloc"; "hot-path-alloc"; "hot-path-alloc" ]);
+    ("fix_park.ml", [ "park-while-latched" ]);
+    ("fix_order.ml", []);
+    ("<order-graph>", [ "latch-order-cycle" ]);
+  ]
+
+let test_fixture_table () =
+  let r =
+    analyze_fixtures ~recovery_units:[ "Fix_raise"; "test/check_fixtures/replay" ] ()
+  in
+  let key file =
+    let p = "test/check_fixtures/" in
+    if String.starts_with ~prefix:p file then
+      String.sub file (String.length p) (String.length file - String.length p)
+    else file
+  in
+  List.iter
+    (fun (f : Report.finding) ->
+      if not (List.mem_assoc (key f.Report.file) fixture_table) then
+        Alcotest.failf "finding in a file outside the table: %s" (Report.render_finding f))
+    r.Check.findings;
+  List.iter
+    (fun (file, expected) ->
+      let got =
+        List.filter_map
+          (fun (f : Report.finding) ->
+            if String.equal (key f.Report.file) file then Some f.Report.rule else None)
+          r.Check.findings
+      in
+      Alcotest.(check (list string))
+        (file ^ " rule multiset")
+        (List.sort String.compare expected)
+        (List.sort String.compare got))
+    fixture_table
+
+(* The pragma scanner: (source, (rule, line, suppressed) queries, file
+   carries a hot-path tag). *)
+let pragma_table =
+  [
+    ( "line pragma covers its line and the next",
+      "let x = 1 (* lint: allow random *)\nlet y = 2\nlet z = 3\n",
+      [ ("random", 1, true); ("random", 2, true); ("random", 3, false); ("wall-clock", 1, false) ],
+      false );
+    ( "file pragma covers every line",
+      "(* lint: allow poly-compare file *)\nlet a = 1\n",
+      [ ("poly-compare", 40, true); ("random", 2, false) ],
+      false );
+    ( "pragma in a plain string is not honored",
+      "let s = \"lint: allow random file\"\nlet roll () = 0\n",
+      [ ("random", 1, false); ("random", 2, false) ],
+      false );
+    ( "pragma in a quoted string is not honored",
+      "let s = {|lint: allow random file|}\nlet t = {id|lint: allow random|id}\n",
+      [ ("random", 1, false); ("random", 2, false) ],
+      false );
+    ("hot tag in a comment", "(* lint: hot-path *)\nlet f () = ()\n", [], true);
+    ("hot tag in a string is not honored", "let s = \"lint: hot-path\"\n", [], false);
+    ( "two pragmas on one line",
+      "let f () = () (* lint: allow hot-alloc — a *) (* lint: allow random — b *)\n",
+      [ ("hot-alloc", 1, true); ("random", 1, true); ("poly-compare", 1, false) ],
+      false );
+    ( "scope words stop at the next marker",
+      "(* lint: allow hot-alloc lint: allow random file *)\nlet a = 1\n\nlet b = 2\n",
+      [ ("hot-alloc", 4, false); ("random", 4, true) ],
+      false );
+    ( "a \"*)\" string inside a comment does not close it",
+      "(* let s = \"*)\" in lint: allow random *)\nlet x = 1\n",
+      [ ("random", 1, true) ],
+      false );
+    ( "nested comments balance",
+      "(* outer (* inner *) lint: allow random *)\nlet s = \"(* lint: allow wall-clock *)\"\n",
+      [ ("random", 1, true); ("wall-clock", 2, false) ],
+      false );
+  ]
+
+let test_pragma_table () =
+  List.iter
+    (fun (name, src, queries, hot) ->
+      let t = Pragma.of_source src in
+      List.iter
+        (fun (rule, line, expected) ->
+          check_bool (Printf.sprintf "%s: %s at line %d" name rule line) expected
+            (Pragma.allowed t ~rule ~line))
+        queries;
+      check_bool (name ^ ": hot-path tag") hot (Pragma.is_hot_file t))
+    pragma_table
 
 (* ------------------------------------------------------------------ *)
 (* Shipped tree is clean; report is deterministic *)
@@ -194,6 +302,8 @@ let () =
           Alcotest.test_case "recovery-raise fires on fixture" `Quick test_recovery_raise_fixture;
           Alcotest.test_case "fixture findings confined to fixtures" `Quick
             test_fixture_findings_confined;
+          Alcotest.test_case "fixture rule multisets" `Quick test_fixture_table;
+          Alcotest.test_case "pragma scanner" `Quick test_pragma_table;
           Alcotest.test_case "shipped lib tree analyzes clean" `Quick test_lib_tree_clean;
           Alcotest.test_case "report byte-identical across runs" `Quick test_report_deterministic;
           Alcotest.test_case "observed lock-order edges subset of static" `Quick

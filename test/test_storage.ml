@@ -449,7 +449,8 @@ let test_buf_accounting_returns_to_zero () =
 
 module Scheduler = Phoebe_runtime.Scheduler
 
-let make_cleaner_pool ?(budget = 4096) ?(latency_us = 90.0) ?(batch_pages = 8) () =
+let make_cleaner_pool ?(budget = 4096) ?(latency_us = 90.0) ?(batch_pages = 8) ?(cleaner = true) ()
+    =
   let eng = Engine.create () in
   let dev =
     Device.create eng ~name:"data"
@@ -461,8 +462,9 @@ let make_cleaner_pool ?(budget = 4096) ?(latency_us = 90.0) ?(batch_pages = 8) (
     Scheduler.create eng
       { Scheduler.default_config with Scheduler.n_workers = 1; slots_per_worker = 4 }
   in
-  Bufmgr.attach_cleaner pool ~scheduler:sched
-    { Bufmgr.default_cleaner with Bufmgr.cl_batch_pages = batch_pages };
+  if cleaner then
+    Bufmgr.attach_cleaner pool ~scheduler:sched
+      { Bufmgr.default_cleaner with Bufmgr.cl_batch_pages = batch_pages };
   (eng, dev, store, pool, sched)
 
 let test_buf_cleaner_batches_writes () =
@@ -533,6 +535,40 @@ let test_buf_cleaner_coalesces_inflight_redirty () =
   | None -> ());
   let f' = Bufmgr.resolve ~touch:false pool marked_swip in
   Alcotest.check value_eq "second write survived coalescing" (Value.Str "modified-in-flight")
+    (Pax.get_col (Bufmgr.payload f') ~slot:0 ~col:1)
+
+(* Regression: with the cleaner off, eviction writes a dirty frame back
+   inline and suspends in the device write. A second fiber that modifies
+   and re-dirties the frame during that write must leave it dirty and
+   resident; clearing the dirty bit after the write would let eviction
+   drop the change. *)
+let test_buf_inline_writeback_keeps_redirty () =
+  let eng, _, _, pool, sched = make_cleaner_pool ~budget:1 ~latency_us:50_000.0 ~cleaner:false () in
+  let page = small_page 1 in
+  let f = Bufmgr.alloc pool ~partition:0 page in
+  let s = Bufmgr.swip_of f in
+  Bufmgr.set_parent f s;
+  age eng;
+  (* fiber 1: evicts the dirty frame, writing it inline (50 ms) *)
+  Scheduler.submit sched (fun () -> Bufmgr.maintain pool ~partition:0);
+  (* fiber 2: 2 ms into that write, modifies the page and re-dirties it *)
+  Scheduler.submit sched (fun () ->
+      Scheduler.io_wait (fun resume ->
+          Engine.schedule_at eng ~time:(Engine.now eng + 2_000_000) resume);
+      Pax.set_col page ~slot:0 ~col:1 (Value.Str "modified-mid-write");
+      Bufmgr.mark_dirty f);
+  Scheduler.run_until_quiescent sched;
+  check_int "eviction wrote inline" 1 (Bufmgr.cleaner_stats pool).Bufmgr.dirty_evict_fallbacks;
+  check_bool "re-dirtied frame stays dirty" true (Bufmgr.is_dirty f);
+  check_bool "re-dirtied frame stays resident" true (Bufmgr.is_resident f);
+  (* touch, cool and evict again: this write carries the modification *)
+  ignore (Bufmgr.resolve pool s);
+  age eng;
+  Scheduler.submit sched (fun () -> Bufmgr.maintain pool ~partition:0);
+  Scheduler.run_until_quiescent sched;
+  check_bool "evicted" false (Bufmgr.is_resident f);
+  let f' = Bufmgr.resolve ~touch:false pool s in
+  Alcotest.check value_eq "mid-write change survived eviction" (Value.Str "modified-mid-write")
     (Pax.get_col (Bufmgr.payload f') ~slot:0 ~col:1)
 
 (* ------------------------------------------------------------------ *)
@@ -671,5 +707,7 @@ let () =
           Alcotest.test_case "cleaner batches writes" `Quick test_buf_cleaner_batches_writes;
           Alcotest.test_case "cleaner coalesces in-flight re-dirty" `Quick
             test_buf_cleaner_coalesces_inflight_redirty;
+          Alcotest.test_case "inline write-back keeps mid-write re-dirty" `Quick
+            test_buf_inline_writeback_keeps_redirty;
         ] );
     ]

@@ -17,10 +17,6 @@ dune build
 echo "== dune runtest"
 dune runtest
 
-echo "== lint (phoebe_lint self-test + lib scan)"
-dune exec bin/phoebe_lint.exe -- --self-test
-dune exec bin/phoebe_lint.exe -- lib
-
 echo "== static check (phoebe_check over the build's typed ASTs, double-run identical)"
 check_a="$tmpdir/check-a.txt"
 check_b="$tmpdir/check-b.txt"
